@@ -10,8 +10,7 @@
 //     and concurrent fan-out reads across shards (internal/store) — the
 //     Tables I-II substrate;
 //   - a domain-specific parser extracting typed entities from text
-//     (internal/extract) with flattening into flat records
-//     (internal/flatten);
+//     (internal/extract);
 //   - bottom-up schema integration with heuristic matchers, thresholds and
 //     alerts (internal/schema, internal/match) — the Figs. 2-3 workflow;
 //   - ML-driven entity consolidation and cleaning (internal/dedup,
@@ -26,6 +25,10 @@
 //     run, acknowledged only once appended to a CRC-framed write-ahead
 //     log, applied by a batching worker pool, and recovered after a
 //     crash by replaying the WAL over the last checkpoint;
+//   - crash-safe file writes (internal/durable): the one event-log file,
+//     write-file-into-place and directory-fsync implementation behind
+//     both the live WAL and checkpoints and the cluster's node-local
+//     shard storage;
 //   - a versioned HTTP surface (internal/serve, /v1 with a uniform
 //     response envelope and pagination) and a Go client SDK for it
 //     (repro/client). Handler wraps the routes in production middleware:
@@ -87,10 +90,6 @@
 // branch with errors.Is — e.g. dterr.ErrNotFound, dterr.ErrBusy (write
 // abandoned under backpressure), dterr.ErrUnavailable (live methods on a
 // batch-only pipeline).
-//
-// The pre-v1 constructor New(Config) remains as a deprecated shim for
-// one release; note that Run and the query methods are context-aware
-// now, so pre-v1 call sites need a mechanical update when upgrading.
 //
 // Every generator is deterministic given WithSeed, and the benchmark
 // suite in bench_test.go regenerates each table and figure of the paper.

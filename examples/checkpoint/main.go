@@ -1,12 +1,13 @@
-// Checkpoint demonstrates the store persistence layer: ingest the web-text
-// corpus, checkpoint both sharded namespaces to disk, recover them into a
-// fresh pipeline, and show that queries agree — plus journal-based
-// recovery with a torn-tail write.
+// Checkpoint demonstrates the store persistence layer: run the pipeline,
+// checkpoint both sharded namespaces to disk, recover them into a fresh
+// pipeline, and show that queries agree — plus event-log recovery with a
+// torn-tail write.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -24,22 +25,25 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Ingest, then checkpoint. New builds the pipeline without running it,
-	// so only the web-text stage executes here.
+	// Run the pipeline, then checkpoint.
 	ctx := context.Background()
-	tamer := datatamer.New(datatamer.Config{Fragments: 500, FTSources: 5, Seed: 3})
-	if err := tamer.IngestWebText(ctx); err != nil {
+	opts := []datatamer.Option{datatamer.WithFragments(500), datatamer.WithSources(5), datatamer.WithSeed(3)}
+	tamer, err := datatamer.Open(ctx, opts...)
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tamer.SaveStores(dir); err != nil {
+	if err := tamer.SaveStoresCtx(ctx, dir); err != nil {
 		log.Fatal(err)
 	}
 	before := tamer.EntityStats()
 	fmt.Printf("checkpointed %d instances / %d entities to %s\n",
 		tamer.InstanceStats().Count, before.Count, dir)
 
-	// Recover into a brand-new pipeline.
-	recovered := datatamer.New(datatamer.Config{Fragments: 500, FTSources: 5, Seed: 3})
+	// Recover into a brand-new pipeline; LoadStores replaces its stores.
+	recovered, err := datatamer.Open(ctx, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := recovered.LoadStores(dir); err != nil {
 		log.Fatal(err)
 	}
@@ -56,30 +60,37 @@ func main() {
 		fmt.Printf("  %d. %s (%d mentions)\n", i+1, d.Name, d.Mentions)
 	}
 
-	// Journal recovery with a torn tail: only complete frames replay.
-	var journalBuf bytes.Buffer
-	journal, err := store.NewJournal(&journalBuf)
+	// Event-log recovery with a torn tail: only complete frames replay.
+	// Each event carries a document id and the encoded document.
+	var logBuf bytes.Buffer
+	events, err := store.NewEventLog(&logBuf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	doc := store.NewDoc().Set("name", store.Str("Matilda")).Set("type", store.Str("Movie"))
-	if err := journal.LogInsert(1, doc); err != nil {
+	for id := uint64(1); id <= 2; id++ {
+		if _, err := events.Append(1, append(binary.AppendUvarint(nil, id), store.EncodeDoc(doc)...)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := events.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	if err := journal.LogInsert(2, doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := journal.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	torn := journalBuf.Bytes()[:journalBuf.Len()-7] // simulate a crash mid-write
+	torn := logBuf.Bytes()[:logBuf.Len()-7] // simulate a crash mid-write
 
-	db := store.Open("dt", 0)
-	coll := db.Collection("journaled")
-	stats, err := coll.ReplayJournal(bytes.NewReader(torn))
+	coll := store.Open("dt", 0).Collection("logged")
+	stats, err := store.ReplayEventLog(bytes.NewReader(torn), 0, func(_ uint64, _ byte, payload []byte) error {
+		id, n := binary.Uvarint(payload)
+		d, err := store.DecodeDoc(payload[n:])
+		if err != nil {
+			return err
+		}
+		coll.ApplyReplay(int64(id), d)
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("journal replay after torn write: %d inserts applied, truncated=%v, count=%d\n",
-		stats.Inserts, stats.Truncated, coll.Count())
+	fmt.Printf("event-log replay after torn write: %d events applied, truncated=%v, count=%d\n",
+		stats.Applied, stats.Truncated, coll.Count())
 }

@@ -169,12 +169,12 @@ func TestDeterministicRuns(t *testing.T) {
 // "at scale" architecture claim at laptop size).
 func TestScaleGrowth(t *testing.T) {
 	ctx := context.Background()
-	small := New(Config{Fragments: 100, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
-	if err := small.IngestWebText(ctx); err != nil {
+	small, err := Open(ctx, WithFragments(100), WithSources(3), WithSeed(2), WithExtentSize(64<<10))
+	if err != nil {
 		t.Fatal(err)
 	}
-	large := New(Config{Fragments: 400, FTSources: 3, Seed: 2, ExtentSize: 64 << 10})
-	if err := large.IngestWebText(ctx); err != nil {
+	large, err := Open(ctx, WithFragments(400), WithSources(3), WithSeed(2), WithExtentSize(64<<10))
+	if err != nil {
 		t.Fatal(err)
 	}
 	ss, ls := small.EntityStats(), large.EntityStats()

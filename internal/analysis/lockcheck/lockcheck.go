@@ -49,7 +49,6 @@ var Allowlist = map[string]string{
 	"repro/internal/cluster.(*Node).handlePull":       "WAL replay under h.mu must see a consistent prefix",
 	"repro/internal/cluster.(*Node).handleInfo":       "seq/kind snapshot under h.mu pairs with the WAL state it describes",
 	"repro/internal/cluster.(*Node).EnableDurability": "recovery replay under h.mu precedes any concurrent write",
-	"repro/internal/cluster.(*Node).Checkpoint":       "checkpoint under h.mu captures a consistent store+seq pair",
 	"repro/internal/cluster.(*Follower).pullShard":    "replica apply under h.mu mirrors the leader's ack ordering",
 
 	// Snapshot streaming: WriteSnapshot holds c.mu.RLock across the

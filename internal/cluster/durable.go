@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/store"
 )
 
@@ -24,13 +25,14 @@ import (
 //
 // Crash safety: a checkpoint writes the snapshot, then the manifest (the
 // commit point, carrying the generation), then truncates the WAL — each
-// file committed by tmp+rename. A crash between the snapshot and
-// manifest renames leaves an old-generation manifest over a newer
-// snapshot; recovery then re-applies WAL events the snapshot already
-// contains, which is safe because every event applies idempotently
-// (ApplyReplay is insert-or-replace by id, Delete and EnsureIndex are
-// no-ops when already done). Appends are flushed, not fsynced: state
-// survives a process kill, matching the live WAL's default durability.
+// file committed by durable.WriteFile (tmp+rename, no fsync). A crash
+// between the snapshot and manifest renames leaves an old-generation
+// manifest over a newer snapshot; recovery then re-applies WAL events the
+// snapshot already contains, which is safe because every event applies
+// idempotently (ApplyReplay is insert-or-replace by id, Delete and
+// EnsureIndex are no-ops when already done). Appends are flushed, not
+// fsynced: state survives a process kill, matching the live WAL's default
+// durability.
 
 const (
 	shardSnapName     = "shard.snap"
@@ -40,9 +42,8 @@ const (
 
 // shardStore is the on-disk backing of one hosted shard.
 type shardStore struct {
-	dir  string
-	walF *os.File
-	wal  *store.EventLog
+	dir string
+	wal *durable.Log
 
 	// Checkpoint fence, for readiness reporting: the generation the last
 	// committed checkpoint captured and when it committed. WAL lag is the
@@ -125,28 +126,20 @@ func (s *shardStore) recover(fallback *store.Collection, extentSize int64) (*sto
 		}
 		coll = loaded
 	}
-	walPath := filepath.Join(s.dir, shardWALName)
-	f, err := os.Open(walPath)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, 0, err
-	}
-	if err == nil {
-		// A torn tail (crash mid-append) stops the replay cleanly; the
-		// caller's re-checkpoint then rewrites the WAL from the recovered
-		// state, so the tear never accumulates.
-		_, rerr := store.ReplayEventLog(f, gen, func(seq uint64, kind byte, payload []byte) error {
-			if err := applyEvent(coll, kind, payload); err != nil {
-				return err
-			}
-			if seq > gen {
-				gen = seq
-			}
-			return nil
-		})
-		f.Close()
-		if rerr != nil {
-			return nil, 0, fmt.Errorf("cluster: shard wal replay: %w", rerr)
+	// A torn tail (crash mid-append) stops the replay cleanly; the caller's
+	// re-checkpoint then rewrites the WAL from the recovered state, so the
+	// tear never accumulates.
+	_, err = durable.Replay(filepath.Join(s.dir, shardWALName), gen, func(seq uint64, kind byte, payload []byte) error {
+		if err := applyEvent(coll, kind, payload); err != nil {
+			return err
 		}
+		if seq > gen {
+			gen = seq
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("cluster: shard wal replay: %w", err)
 	}
 	return coll, gen, nil
 }
@@ -155,15 +148,13 @@ func (s *shardStore) recover(fallback *store.Collection, extentSize int64) (*sto
 // manifest (the commit point), then a truncated WAL continuing at gen+1 —
 // and leaves the WAL open for appends.
 func (s *shardStore) checkpoint(c *store.Collection, gen uint64) error {
-	if err := writeFileAtomic(filepath.Join(s.dir, shardSnapName), func(w io.Writer) error {
-		return c.WriteSnapshot(w)
-	}); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, shardSnapName), durable.Flush, c.WriteSnapshot); err != nil {
 		return fmt.Errorf("cluster: shard snapshot: %w", err)
 	}
 	var frame bytes.Buffer
 	putUvarint(&frame, gen)
 	putBytes(&frame, EncodeIndexManifest(c))
-	if err := writeFileAtomic(filepath.Join(s.dir, shardManifestName), func(w io.Writer) error {
+	if err := durable.WriteFile(filepath.Join(s.dir, shardManifestName), durable.Flush, func(w io.Writer) error {
 		return store.WriteFrame(w, frame.Bytes())
 	}); err != nil {
 		return fmt.Errorf("cluster: shard manifest: %w", err)
@@ -177,25 +168,17 @@ func (s *shardStore) checkpoint(c *store.Collection, gen uint64) error {
 
 // resetWAL truncates the WAL and starts a fresh event log at nextSeq.
 func (s *shardStore) resetWAL(nextSeq uint64) error {
-	if s.walF != nil {
-		s.wal.Flush()
-		s.walF.Close()
-		s.walF, s.wal = nil, nil
+	if s.wal != nil {
+		// The checkpoint that just committed holds every event of the old
+		// log, so a failure to flush it loses nothing.
+		_ = s.wal.Close()
+		s.wal = nil
 	}
-	f, err := os.Create(filepath.Join(s.dir, shardWALName))
+	wal, err := durable.Create(filepath.Join(s.dir, shardWALName), nextSeq, durable.Flush)
 	if err != nil {
 		return fmt.Errorf("cluster: shard wal: %w", err)
 	}
-	log, err := store.NewEventLogAt(f, nextSeq)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: shard wal: %w", err)
-	}
-	if err := log.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: shard wal: %w", err)
-	}
-	s.walF, s.wal = f, log
+	s.wal = wal
 	return nil
 }
 
@@ -210,43 +193,18 @@ func (s *shardStore) append(seq uint64, kind byte, payload []byte) error {
 	if got := s.wal.NextSeq(); got != seq {
 		return fmt.Errorf("cluster: shard wal at seq %d, event has seq %d", got, seq)
 	}
-	if _, err := s.wal.Append(kind, payload); err != nil {
-		return err
-	}
-	return s.wal.Flush()
+	_, err := s.wal.Append(kind, payload)
+	return err
 }
 
 // close releases the WAL file handle.
 func (s *shardStore) close() error {
-	if s.walF == nil {
+	if s.wal == nil {
 		return nil
 	}
-	err := s.wal.Flush()
-	if cerr := s.walF.Close(); err == nil {
-		err = cerr
-	}
-	s.walF, s.wal = nil, nil
+	err := s.wal.Close()
+	s.wal = nil
 	return err
-}
-
-// writeFileAtomic writes via a temp file and renames it into place, so a
-// crash mid-write never leaves a half-written file under the final name.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // applyEvent applies one replication event to a collection — the shared

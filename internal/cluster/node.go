@@ -382,16 +382,27 @@ func (n *Node) handleInfo(req *Request, h *hostedShard) *Response {
 // tolerates the same way it tolerated checkpoints before durability
 // existed.
 func (n *Node) handleCheckpoint(req *Request, h *hostedShard) *Response {
+	gen, err := n.checkpointShard(h)
+	if err != nil {
+		return errResp(req.ID, err)
+	}
+	return &Response{ID: req.ID, Gen: gen}
+}
+
+// checkpointShard persists one shard to the node's data directory under
+// its lock, returning the generation it captured. Unavailable without a
+// data directory.
+func (n *Node) checkpointShard(h *hostedShard) (uint64, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.dur == nil {
-		return errResp(req.ID, dterr.Newf(dterr.CodeUnavailable,
-			"cluster: node %q has no data directory; start dtnode with -data-dir", n.name))
+		return h.gen, dterr.Newf(dterr.CodeUnavailable,
+			"cluster: node %q has no data directory; start dtnode with -data-dir", n.name)
 	}
 	if err := h.dur.checkpoint(h.coll, h.gen); err != nil {
-		return errResp(req.ID, dterr.Wrap(dterr.CodeInternal, err))
+		return h.gen, dterr.Wrap(dterr.CodeInternal, err)
 	}
-	return &Response{ID: req.ID, Gen: h.gen}
+	return h.gen, nil
 }
 
 // EnableDurability backs every hosted shard with a directory under root:
@@ -435,15 +446,7 @@ func (n *Node) Checkpoint() error {
 	}
 	n.mu.RUnlock()
 	for key, h := range shards {
-		h.mu.Lock()
-		var err error
-		if h.dur == nil {
-			err = dterr.New(dterr.CodeUnavailable, "cluster: node has no data directory")
-		} else {
-			err = h.dur.checkpoint(h.coll, h.gen)
-		}
-		h.mu.Unlock()
-		if err != nil {
+		if _, err := n.checkpointShard(h); err != nil {
 			return dterr.Wrapf(dterr.CodeOf(err), err, "cluster: checkpoint %s", key)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/dterr"
+	"repro/internal/durable"
 	"repro/internal/store"
 )
 
@@ -20,15 +21,6 @@ import (
 // delegates the checkpoint to its hosting node's local data directory.
 type Checkpointer interface {
 	Checkpoint(ctx context.Context) error
-}
-
-// SaveStores checkpoints both namespaces with no caller context.
-//
-// Deprecated: use SaveStoresCtx. In cluster mode SaveStores issues
-// checkpoint RPCs to the shard nodes, and without a context those RPCs
-// cannot be cancelled or deadlined by the caller.
-func (t *Tamer) SaveStores(dir string) error {
-	return t.SaveStoresCtx(context.Background(), dir)
 }
 
 // SaveStoresCtx writes one snapshot file per shard of both namespaces
@@ -64,22 +56,14 @@ func saveSharded(ctx context.Context, dir, prefix string, s *store.Sharded) erro
 				"core: store snapshots unavailable: %s shard %d is remote", s.NS(), i)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("%s-%d.snap", prefix, i))
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("core: creating %s: %w", path, err)
-		}
-		if err := coll.WriteSnapshot(f); err != nil {
-			f.Close()
+		if err := durable.WriteFile(path, durable.Flush, coll.WriteSnapshot); err != nil {
 			return fmt.Errorf("core: writing %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("core: closing %s: %w", path, err)
 		}
 	}
 	return nil
 }
 
-// LoadStores reads snapshots written by SaveStores into fresh namespaces,
+// LoadStores reads snapshots written by SaveStoresCtx into fresh namespaces,
 // rebuilding the standard index sets. The shard count and extent size come
 // from the receiver's configuration and must match the saved layout's
 // shard count. In cluster mode (remote shards) there is nothing to load

@@ -23,7 +23,7 @@ func TestSaveLoadStores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := tm.SaveStores(dir); err != nil {
+	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	// 3 shards per namespace → 6 snapshot files.
@@ -75,7 +75,7 @@ func TestLoadStoresMissingDir(t *testing.T) {
 }
 
 // checkpointBackend plays a remote shard that persists itself on its
-// hosting node: Shard(i) returns nil for it, so SaveStores must delegate
+// hosting node: Shard(i) returns nil for it, so SaveStoresCtx must delegate
 // through the Checkpointer interface.
 type checkpointBackend struct {
 	store.LocalShard
@@ -118,7 +118,7 @@ func TestSaveStoresCreatesDir(t *testing.T) {
 	if err := tm.IngestWebText(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tm.SaveStores(dir); err != nil {
+	if err := tm.SaveStoresCtx(context.Background(), dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "entity-0.snap")); err != nil {

@@ -52,6 +52,7 @@ import (
 	"repro/dterr"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/durable"
 	"repro/internal/record"
 	"repro/internal/store"
 )
@@ -104,6 +105,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// syncPolicy maps Fsync onto the durability policy of the WAL and the
+// checkpoint commit.
+func (c Config) syncPolicy() durable.Sync {
+	if c.Fsync {
+		return durable.SyncAll
+	}
+	return durable.Flush
+}
+
 // event is one acknowledged write awaiting apply.
 type event struct {
 	kind   byte
@@ -117,7 +127,7 @@ type event struct {
 type Ingester struct {
 	cfg    Config
 	tamer  *core.Tamer
-	wal    *wal
+	wal    *durable.Log
 	replay store.EventReplayStats
 
 	// openCtx is the lifecycle context passed to Open. Cancelling it stops
@@ -199,7 +209,7 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 	}
 
 	walPath := filepath.Join(cfg.Dir, walName)
-	ing.replay, err = replayWAL(walPath, meta.LastSeq, ing.applyReplayed)
+	ing.replay, err = durable.Replay(walPath, meta.LastSeq, ing.applyReplayed)
 	if err != nil {
 		return nil, fmt.Errorf("live: wal replay: %w", err)
 	}
@@ -229,7 +239,7 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 			return nil, err
 		}
 	}
-	ing.wal, err = createWAL(walPath, nextSeq, cfg.Fsync)
+	ing.wal, err = durable.Create(walPath, nextSeq, cfg.syncPolicy())
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +254,7 @@ func Open(ctx context.Context, t *core.Tamer, cfg Config) (*Ingester, error) {
 // counted and skipped rather than returned, mirroring the live path (which
 // records the error and keeps going): one bad event must not make every
 // subsequent startup fail.
-func (ing *Ingester) applyReplayed(kind byte, payload []byte) error {
+func (ing *Ingester) applyReplayed(_ uint64, kind byte, payload []byte) error {
 	switch kind {
 	case evText:
 		frags, err := decodeText(payload)
@@ -310,7 +320,7 @@ func (ing *Ingester) IngestRecords(ctx context.Context, source string, recs []*r
 	ing.ingestMu.Lock()
 	defer ing.ingestMu.Unlock()
 	// All appends hold ingestMu, so the next sequence number is stable here.
-	seq := ing.wal.nextSeq()
+	seq := ing.wal.NextSeq()
 	var stamped []*record.Record
 	for i, r := range recs {
 		if r.ID == "" {
@@ -365,7 +375,7 @@ func (ing *Ingester) enqueueLocked(ctx context.Context, ev event, payload []byte
 	ing.pending++
 	ing.queuedBytes += int64(ev.size)
 	ing.mu.Unlock()
-	if _, err := ing.wal.append(ev.kind, payload); err != nil {
+	if _, err := ing.wal.Append(ev.kind, payload); err != nil {
 		ing.unaccount(1, int64(ev.size))
 		return err
 	}
@@ -613,10 +623,10 @@ func (ing *Ingester) Checkpoint(ctx context.Context) error {
 	if err := ing.Flush(ctx); err != nil {
 		return err
 	}
-	if err := ing.checkpointState(ctx, ing.wal.lastSeq()); err != nil {
+	if err := ing.checkpointState(ctx, ing.wal.NextSeq()-1); err != nil {
 		return err
 	}
-	return ing.wal.rotate()
+	return ing.wal.Rotate()
 }
 
 // checkpointState writes the store snapshots and fused view into a fresh
@@ -635,19 +645,13 @@ func (ing *Ingester) checkpointState(ctx context.Context, lastSeq uint64) error 
 		return fmt.Errorf("live: checkpoint fused view: %w", err)
 	}
 	if ing.cfg.Fsync {
-		// The epoch must be durable before the meta commit, and the commit
-		// durable before any caller truncates the WAL it fences.
-		if err := syncTree(cpDir); err != nil {
+		// The epoch must be durable before the meta commit.
+		if err := durable.SyncDir(cpDir); err != nil {
 			return fmt.Errorf("live: syncing checkpoint: %w", err)
 		}
 	}
-	if err := writeMeta(ing.cfg.Dir, checkpointMeta{LastSeq: lastSeq, Epoch: next}, ing.cfg.Fsync); err != nil {
-		return err
-	}
-	if ing.cfg.Fsync {
-		if err := syncPath(ing.cfg.Dir); err != nil {
-			return fmt.Errorf("live: syncing checkpoint dir: %w", err)
-		}
+	if err := writeMeta(ing.cfg.Dir, checkpointMeta{LastSeq: lastSeq, Epoch: next}, ing.cfg.syncPolicy()); err != nil {
+		return fmt.Errorf("live: committing checkpoint: %w", err)
 	}
 	ing.epoch = next
 	dropStaleEpochs(ing.cfg.Dir, next)
@@ -674,7 +678,7 @@ func (ing *Ingester) Close() error {
 	defer ing.ingestMu.Unlock()
 	if wasAborted {
 		ing.wg.Wait()
-		return ing.wal.close()
+		return ing.wal.Close()
 	}
 	err := ing.Flush(context.Background())
 	// The open context may have been cancelled while Flush waited; the
@@ -686,7 +690,7 @@ func (ing *Ingester) Close() error {
 	ing.mu.Unlock()
 	if abortedMeanwhile {
 		ing.wg.Wait()
-		if cerr := ing.wal.close(); err == nil {
+		if cerr := ing.wal.Close(); err == nil {
 			err = cerr
 		}
 		return err
@@ -697,10 +701,10 @@ func (ing *Ingester) Close() error {
 	// hosting nodes' data directories. Nodes without -data-dir answer
 	// unavailable; the WAL then stays authoritative across restarts
 	// instead of the checkpoint, exactly as before node durability.
-	if cerr := ing.checkpointState(context.Background(), ing.wal.lastSeq()); err == nil && !errors.Is(cerr, dterr.ErrUnavailable) {
+	if cerr := ing.checkpointState(context.Background(), ing.wal.NextSeq()-1); err == nil && !errors.Is(cerr, dterr.ErrUnavailable) {
 		err = cerr
 	}
-	if cerr := ing.wal.close(); err == nil {
+	if cerr := ing.wal.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -774,9 +778,9 @@ func (ing *Ingester) Stats() Stats {
 		FusedRefreshes:  ing.refreshes.Load(),
 		FusedDirty:      ing.tamer.FusedDirty(),
 		ApplyErrors:     ing.applyErrors.Load(),
-		WALSizeBytes:    ing.wal.sizeBytes(),
-		WALEvents:       ing.wal.eventCount(),
-		NextSeq:         ing.wal.nextSeq(),
+		WALSizeBytes:    ing.wal.Size(),
+		WALEvents:       ing.wal.Events(),
+		NextSeq:         ing.wal.NextSeq(),
 		ReplayApplied:   ing.replay.Applied,
 		ReplaySkipped:   ing.replay.Skipped,
 		ReplayErrors:    ing.replayErrors,

@@ -12,9 +12,9 @@ import (
 
 	"repro/dterr"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/fuse"
 	"repro/internal/record"
-	"repro/internal/store"
 )
 
 // liveTamer builds and batch-runs a small pipeline.
@@ -322,11 +322,7 @@ func TestPoisonWALEventDoesNotBrickRecovery(t *testing.T) {
 	// Hand-craft a WAL with good events around an unknown kind and an
 	// undecodable payload — e.g. written by a newer version or corrupted
 	// in a way CRC framing cannot see.
-	f, err := os.Create(filepath.Join(dir, walName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, err := store.NewEventLog(f)
+	lg, err := durable.Create(filepath.Join(dir, walName), 1, durable.Flush)
 	if err != nil {
 		t.Fatal(err)
 	}

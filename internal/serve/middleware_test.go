@@ -171,34 +171,48 @@ func TestRateLimitShedsOverRateOnly(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesThroughMiddleware is the satellite regression: the
-// deprecated unversioned shims ride the same middleware chain as /v1 —
-// they are metered and rate limited, while still carrying their
-// Deprecation header.
+// TestLegacyRoutesThroughMiddleware: the unversioned pre-/v1 paths are
+// gone. Each answers 404 through the full middleware chain and is metered
+// under the bounded "other" route label, never under its own path.
 func TestLegacyRoutesThroughMiddleware(t *testing.T) {
 	tm := newTamer(t)
 	reg := obs.NewRegistry()
-	s := New(tm, WithGeneration(tm.DataGeneration), WithMetrics(reg), WithRateLimit(3, 3))
+	s := New(tm, WithGeneration(tm.DataGeneration), WithMetrics(reg))
 
-	if rec := getWithHeaders(t, s, "/stats", nil); rec.Code != http.StatusOK || rec.Header().Get("Deprecation") == "" {
-		t.Fatalf("legacy /stats = %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
+	removed := []struct{ method, path string }{
+		{http.MethodGet, "/stats"},
+		{http.MethodGet, "/types"},
+		{http.MethodGet, "/top?k=3"},
+		{http.MethodGet, "/show?name=Matilda"},
+		{http.MethodGet, "/find?q=type+%3D+Movie"},
+		{http.MethodGet, "/cheapest?k=2"},
+		{http.MethodPost, "/ingest/text"},
+		{http.MethodPost, "/ingest/records"},
+		{http.MethodPost, "/flush?checkpoint=1"},
+		{http.MethodGet, "/live/stats"},
 	}
-	if !strings.Contains(reg.Render(), `dt_http_requests_total{route="/stats",method="GET",code="200"}`) {
-		t.Errorf("legacy route not metered:\n%s", reg.Render())
-	}
-
-	shed := false
-	for i := 0; i < 10; i++ {
-		if rec := getWithHeaders(t, s, "/top", nil); rec.Code == http.StatusTooManyRequests {
-			if rec.Header().Get("Retry-After") == "" {
-				t.Fatal("legacy 429 without Retry-After")
-			}
-			shed = true
-			break
+	for _, r := range removed {
+		req := httptest.NewRequest(r.method, r.path, strings.NewReader("{}"))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s = %d, want 404", r.method, r.path, rec.Code)
+		}
+		if rec.Header().Get("Deprecation") != "" {
+			t.Errorf("%s %s still carries a Deprecation header", r.method, r.path)
 		}
 	}
-	if !shed {
-		t.Error("legacy route not rate limited")
+	text := reg.Render()
+	for _, method := range []string{"GET", "POST"} {
+		if !strings.Contains(text, `dt_http_requests_total{route="other",method="`+method+`",code="404"}`) {
+			t.Errorf("removed %s routes not metered as other:\n%s", method, text)
+		}
+	}
+	for _, r := range removed {
+		path, _, _ := strings.Cut(r.path, "?")
+		if strings.Contains(text, `route="`+path+`"`) {
+			t.Errorf("removed route %s has its own metric label", path)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Binary document codec: a compact, self-describing encoding used by the
-// persistence layer (snapshots and journals). The format is
+// persistence layer (snapshots and event logs). The format is
 // length-prefixed throughout so readers can skip or validate frames.
 //
 //	value  := kind(1) payload

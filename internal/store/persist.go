@@ -9,21 +9,13 @@ import (
 )
 
 // Persistence: collections can be checkpointed to a snapshot stream and kept
-// durable between checkpoints with an append-only journal; recovery loads
-// the snapshot and replays the journal. Frames are CRC-protected so a torn
-// tail write is detected and recovery stops cleanly at the last good frame.
+// durable between checkpoints with an append-only event log; recovery loads
+// the snapshot and replays the log. Frames are CRC-protected so a torn tail
+// write is detected and recovery stops cleanly at the last good frame.
 
 const (
 	snapshotMagic = "DTSNAP1\n"
-	journalMagic  = "DTJRNL1\n"
 	eventMagic    = "DTEVTL1\n"
-)
-
-// Journal op codes.
-const (
-	opInsert byte = 1
-	opUpdate byte = 2
-	opDelete byte = 3
 )
 
 // WriteSnapshot serializes the collection: header, namespace, document
@@ -35,7 +27,7 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
-	if err := writeFrame(bw, []byte(c.ns)); err != nil {
+	if err := WriteFrame(bw, []byte(c.ns)); err != nil {
 		return err
 	}
 	var count [8]byte
@@ -52,7 +44,7 @@ func (c *Collection) WriteSnapshot(w io.Writer) error {
 		if _, err := bw.Write(idb[:]); err != nil {
 			return err
 		}
-		if err := writeFrame(bw, EncodeDoc(c.docs[id])); err != nil {
+		if err := WriteFrame(bw, EncodeDoc(c.docs[id])); err != nil {
 			return err
 		}
 	}
@@ -71,7 +63,7 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("store: bad snapshot magic %q", magic)
 	}
-	nsBytes, err := readFrame(br)
+	nsBytes, err := ReadFrame(br, 0)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading namespace: %w", err)
 	}
@@ -87,7 +79,7 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 			return nil, fmt.Errorf("store: reading doc %d id: %w", i, err)
 		}
 		id := int64(binary.LittleEndian.Uint64(idb[:]))
-		frame, err := readFrame(br)
+		frame, err := ReadFrame(br, 0)
 		if err != nil {
 			return nil, fmt.Errorf("store: reading doc %d: %w", i, err)
 		}
@@ -105,129 +97,11 @@ func ReadSnapshot(r io.Reader, extentSize int64) (*Collection, error) {
 	return c, nil
 }
 
-// Journal is an append-only operation log for one collection.
-type Journal struct {
-	w      *bufio.Writer
-	closer io.Closer
-	wrote  bool
-}
-
-// NewJournal starts a journal on w, writing the header immediately.
-func NewJournal(w io.Writer) (*Journal, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(journalMagic); err != nil {
-		return nil, err
-	}
-	j := &Journal{w: bw}
-	if c, ok := w.(io.Closer); ok {
-		j.closer = c
-	}
-	return j, nil
-}
-
-// LogInsert appends an insert frame.
-func (j *Journal) LogInsert(id int64, d *Doc) error { return j.log(opInsert, id, d) }
-
-// LogUpdate appends an update frame.
-func (j *Journal) LogUpdate(id int64, d *Doc) error { return j.log(opUpdate, id, d) }
-
-// LogDelete appends a delete frame.
-func (j *Journal) LogDelete(id int64) error { return j.log(opDelete, id, nil) }
-
-func (j *Journal) log(op byte, id int64, d *Doc) error {
-	j.wrote = true
-	payload := make([]byte, 9)
-	payload[0] = op
-	binary.LittleEndian.PutUint64(payload[1:9], uint64(id))
-	if d != nil {
-		payload = append(payload, EncodeDoc(d)...)
-	}
-	return writeFrame(j.w, payload)
-}
-
-// Flush forces buffered frames to the underlying writer.
-func (j *Journal) Flush() error { return j.w.Flush() }
-
-// Close flushes and closes the underlying writer when it is closable.
-func (j *Journal) Close() error {
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if j.closer != nil {
-		return j.closer.Close()
-	}
-	return nil
-}
-
-// ReplayStats summarizes a journal replay.
-type ReplayStats struct {
-	Inserts, Updates, Deletes int
-	// Truncated is true when the journal ended mid-frame (torn write); the
-	// ops before the tear were applied.
-	Truncated bool
-}
-
-// ReplayJournal applies a journal stream to the collection. Unknown ids on
-// update/delete are skipped (idempotent replay); a corrupt or torn tail
-// stops replay and sets Truncated rather than failing recovery.
-func (c *Collection) ReplayJournal(r io.Reader) (ReplayStats, error) {
-	var stats ReplayStats
-	br := bufio.NewReader(r)
-	ok, truncated, err := readLogMagic(br, journalMagic)
-	if err != nil {
-		return stats, fmt.Errorf("store: journal: %w", err)
-	}
-	if !ok {
-		stats.Truncated = truncated
-		return stats, nil
-	}
-	for {
-		payload, err := readFrame(br)
-		if err == io.EOF {
-			return stats, nil
-		}
-		if err != nil {
-			stats.Truncated = true
-			return stats, nil
-		}
-		if len(payload) < 9 {
-			stats.Truncated = true
-			return stats, nil
-		}
-		op := payload[0]
-		id := int64(binary.LittleEndian.Uint64(payload[1:9]))
-		switch op {
-		case opInsert, opUpdate:
-			doc, err := DecodeDoc(payload[9:])
-			if err != nil {
-				stats.Truncated = true
-				return stats, nil
-			}
-			c.applyReplay(id, doc)
-			if op == opInsert {
-				stats.Inserts++
-			} else {
-				stats.Updates++
-			}
-		case opDelete:
-			if c.Delete(id) {
-				stats.Deletes++
-			}
-		default:
-			stats.Truncated = true
-			return stats, nil
-		}
-	}
-}
-
 // ApplyReplay inserts-or-replaces a document under a specific id — the
 // operation a replication follower applies for shipped insert and update
 // events, preserving the primary's id assignment so reads against either
 // replica return the same documents.
-func (c *Collection) ApplyReplay(id int64, doc *Doc) { c.applyReplay(id, doc) }
-
-// applyReplay inserts-or-replaces a document under a specific id.
-func (c *Collection) applyReplay(id int64, doc *Doc) {
+func (c *Collection) ApplyReplay(id int64, doc *Doc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.docs[id]; ok {
@@ -281,14 +155,13 @@ func readLogMagic(br *bufio.Reader, want string) (ok, truncated bool, err error)
 	return true, false, nil
 }
 
-// EventLog is an append-only log of application-defined events, sharing the
-// journal's CRC frame format so torn tails are detected the same way. Each
+// EventLog is an append-only log of application-defined events in the
+// snapshot's CRC frame format, so torn tails are detected. Each
 // event carries a monotonically increasing sequence number, letting a
 // recovery replay skip events already covered by a checkpoint. The live
-// ingestion WAL is built on this.
+// ingestion WAL and the cluster's shard WAL are built on this.
 type EventLog struct {
 	w       *bufio.Writer
-	closer  io.Closer
 	nextSeq uint64
 }
 
@@ -307,25 +180,7 @@ func NewEventLogAt(w io.Writer, nextSeq uint64) (*EventLog, error) {
 	if nextSeq < 1 {
 		nextSeq = 1
 	}
-	return openEventLog(w, bw, nextSeq), nil
-}
-
-// ResumeEventLog continues an existing log on w (positioned at its end, e.g.
-// a file opened O_APPEND) without rewriting the header. nextSeq must be one
-// past the last sequence number already in the log.
-func ResumeEventLog(w io.Writer, nextSeq uint64) *EventLog {
-	if nextSeq < 1 {
-		nextSeq = 1
-	}
-	return openEventLog(w, bufio.NewWriter(w), nextSeq)
-}
-
-func openEventLog(w io.Writer, bw *bufio.Writer, nextSeq uint64) *EventLog {
-	l := &EventLog{w: bw, nextSeq: nextSeq}
-	if c, ok := w.(io.Closer); ok {
-		l.closer = c
-	}
-	return l
+	return &EventLog{w: bw, nextSeq: nextSeq}, nil
 }
 
 // NextSeq returns the sequence number the next Append will use.
@@ -341,26 +196,16 @@ func (l *EventLog) Append(kind byte, payload []byte) (uint64, error) {
 	frame = append(frame, seqb[:n]...)
 	frame = append(frame, kind)
 	frame = append(frame, payload...)
-	if err := writeFrame(l.w, frame); err != nil {
+	if err := WriteFrame(l.w, frame); err != nil {
 		return 0, err
 	}
 	l.nextSeq++
 	return seq, nil
 }
 
-// Flush forces buffered frames to the underlying writer.
+// Flush forces buffered frames to the underlying writer, which stays
+// owned (and is closed) by the caller.
 func (l *EventLog) Flush() error { return l.w.Flush() }
-
-// Close flushes and closes the underlying writer when it is closable.
-func (l *EventLog) Close() error {
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if l.closer != nil {
-		return l.closer.Close()
-	}
-	return nil
-}
 
 // EventReplayStats summarizes an event-log replay.
 type EventReplayStats struct {
@@ -389,7 +234,7 @@ func ReplayEventLog(r io.Reader, afterSeq uint64, fn func(seq uint64, kind byte,
 		return stats, nil
 	}
 	for {
-		frame, err := readFrame(br)
+		frame, err := ReadFrame(br, 0)
 		if err == io.EOF {
 			return stats, nil
 		}
@@ -417,19 +262,9 @@ func ReplayEventLog(r io.Reader, afterSeq uint64, fn func(seq uint64, kind byte,
 }
 
 // WriteFrame writes one CRC-protected frame (len(4) payload crc32(4)) — the
-// framing shared by snapshots, journals, event logs, and the cluster wire
+// framing shared by snapshots, event logs, and the cluster wire
 // protocol.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// ReadFrame reads one CRC-protected frame written by WriteFrame. io.EOF at
-// a frame boundary is returned as io.EOF; a torn frame or CRC mismatch is
-// an error.
-func ReadFrame(br *bufio.Reader, maxLen uint32) ([]byte, error) {
-	return readFrameMax(br, maxLen)
-}
-
-// writeFrame writes len(4) payload crc32(4).
-func writeFrame(w io.Writer, payload []byte) error {
+func WriteFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -444,16 +279,12 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, validating length and CRC. io.EOF at a frame
-// boundary is returned as io.EOF; mid-frame EOF or CRC mismatch is an error.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	return readFrameMax(br, 1<<30)
-}
-
-// readFrameMax is readFrame with a caller-chosen payload ceiling, so a wire
-// peer cannot make the reader allocate an arbitrary buffer from a bogus
-// length header. maxLen <= 0 selects the persistence default.
-func readFrameMax(br *bufio.Reader, maxLen uint32) ([]byte, error) {
+// ReadFrame reads one CRC-protected frame written by WriteFrame. io.EOF at
+// a frame boundary is returned as io.EOF; a torn frame or CRC mismatch is
+// an error. maxLen caps the payload so a wire peer cannot make the reader
+// allocate an arbitrary buffer from a bogus length header; 0 selects the
+// persistence default.
+func ReadFrame(br *bufio.Reader, maxLen uint32) ([]byte, error) {
 	if maxLen == 0 {
 		maxLen = 1 << 30
 	}

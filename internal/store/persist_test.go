@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -147,117 +148,62 @@ func TestSnapshotBadMagic(t *testing.T) {
 	}
 }
 
-func TestJournalReplay(t *testing.T) {
+func TestEventLogCorruptCRC(t *testing.T) {
 	var buf bytes.Buffer
-	j, err := NewJournal(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := entityDoc("A", "Movie", 1)
-	d2 := entityDoc("B", "Movie", 2)
-	if err := j.LogInsert(1, d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogInsert(2, d2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogUpdate(1, entityDoc("A2", "Movie", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.LogDelete(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c := newCollection("dt.replay", 0)
-	c.EnsureIndex("name_1", "name", HashIndex)
-	stats, err := c.ReplayJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inserts != 2 || stats.Updates != 1 || stats.Deletes != 1 || stats.Truncated {
-		t.Errorf("stats = %+v", stats)
-	}
-	if c.Count() != 1 {
-		t.Errorf("count = %d", c.Count())
-	}
-	d, ok := c.Get(1)
-	if !ok || d.PathString("name") != "A2" {
-		t.Errorf("doc 1 = %v", d)
-	}
-	// Index stayed consistent through replay.
-	if got := len(c.Find(EqStr("name", "A2"))); got != 1 {
-		t.Errorf("indexed find = %d", got)
-	}
-	if got := len(c.Find(EqStr("name", "A"))); got != 0 {
-		t.Errorf("stale index entry: %d", got)
-	}
-}
-
-func TestJournalTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	j, _ := NewJournal(&buf)
-	j.LogInsert(1, entityDoc("A", "Movie", 1))
-	j.LogInsert(2, entityDoc("B", "Movie", 2))
-	j.Flush()
-	full := buf.Bytes()
-
-	// Tear the last frame mid-way.
-	torn := full[:len(full)-5]
-	c := newCollection("dt.torn", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Truncated {
-		t.Error("torn tail not detected")
-	}
-	if stats.Inserts != 1 || c.Count() != 1 {
-		t.Errorf("pre-tear ops: %+v, count %d", stats, c.Count())
-	}
-}
-
-func TestJournalCorruptCRC(t *testing.T) {
-	var buf bytes.Buffer
-	j, _ := NewJournal(&buf)
-	j.LogInsert(1, entityDoc("A", "Movie", 1))
-	j.Flush()
+	l, _ := NewEventLog(&buf)
+	l.Append(1, EncodeDoc(entityDoc("A", "Movie", 1)))
+	l.Flush()
 	data := buf.Bytes()
 	data[len(data)-6] ^= 0xff // flip a payload byte; CRC now mismatches
 
-	c := newCollection("dt.crc", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(data))
+	var applied int
+	stats, err := ReplayEventLog(bytes.NewReader(data), 0, func(uint64, byte, []byte) error {
+		applied++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Truncated || stats.Inserts != 0 {
-		t.Errorf("corrupt frame applied: %+v", stats)
+	if !stats.Truncated || applied != 0 {
+		t.Errorf("corrupt frame applied: %+v, applied %d", stats, applied)
 	}
 }
 
-func TestSnapshotPlusJournalRecovery(t *testing.T) {
-	// The full recovery flow: snapshot, more writes to a journal, recover.
+func TestSnapshotPlusEventLogRecovery(t *testing.T) {
+	// The full recovery flow: snapshot, more writes to an event log whose
+	// payloads carry (id, doc), recover through ApplyReplay.
 	c := newCollection("dt.rec", 0)
 	id1 := c.Insert(entityDoc("A", "Movie", 1))
 	var snap bytes.Buffer
 	if err := c.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var jbuf bytes.Buffer
-	j, _ := NewJournal(&jbuf)
+	var lbuf bytes.Buffer
+	l, _ := NewEventLog(&lbuf)
+	logDoc := func(id int64, d *Doc) {
+		payload := binary.AppendUvarint(nil, uint64(id))
+		l.Append(1, append(payload, EncodeDoc(d)...))
+	}
 	id2 := c.Insert(entityDoc("B", "Movie", 2))
-	j.LogInsert(id2, entityDoc("B", "Movie", 2))
-	j.LogUpdate(id1, entityDoc("A-v2", "Movie", 1))
+	logDoc(id2, entityDoc("B", "Movie", 2))
+	logDoc(id1, entityDoc("A-v2", "Movie", 1))
 	c.Update(id1, entityDoc("A-v2", "Movie", 1))
-	j.Close()
+	l.Flush()
 
 	recovered, err := ReadSnapshot(&snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recovered.ReplayJournal(bytes.NewReader(jbuf.Bytes())); err != nil {
+	recovered.EnsureIndex("name_1", "name", HashIndex)
+	if _, err := ReplayEventLog(bytes.NewReader(lbuf.Bytes()), 0, func(_ uint64, _ byte, payload []byte) error {
+		id, n := binary.Uvarint(payload)
+		d, err := DecodeDoc(payload[n:])
+		if err != nil {
+			return err
+		}
+		recovered.ApplyReplay(int64(id), d)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if recovered.Count() != c.Count() {
@@ -269,6 +215,13 @@ func TestSnapshotPlusJournalRecovery(t *testing.T) {
 		if !ok || got.String() != want.String() {
 			t.Errorf("doc %d: %v vs %v", id, got, want)
 		}
+	}
+	// The index stayed consistent through the replayed update.
+	if got := len(recovered.Find(EqStr("name", "A-v2"))); got != 1 {
+		t.Errorf("indexed find = %d", got)
+	}
+	if got := len(recovered.Find(EqStr("name", "A"))); got != 0 {
+		t.Errorf("stale index entry: %d", got)
 	}
 }
 
@@ -290,30 +243,6 @@ func BenchmarkDecodeDoc(b *testing.B) {
 	}
 }
 
-func TestJournalEmptyAndTornHeader(t *testing.T) {
-	// A crash can leave a journal file with zero bytes (created, header not
-	// yet flushed) or a partial header. Both must recover cleanly.
-	c := newCollection("dt.hdr", 0)
-	stats, err := c.ReplayJournal(bytes.NewReader(nil))
-	if err != nil {
-		t.Fatalf("empty journal: %v", err)
-	}
-	if stats.Truncated || stats.Inserts != 0 {
-		t.Errorf("empty journal stats = %+v", stats)
-	}
-	stats, err = c.ReplayJournal(bytes.NewReader([]byte(journalMagic[:3])))
-	if err != nil {
-		t.Fatalf("torn header: %v", err)
-	}
-	if !stats.Truncated {
-		t.Errorf("torn header not flagged: %+v", stats)
-	}
-	// A full-length header that is some other format is still an error.
-	if _, err := c.ReplayJournal(bytes.NewReader([]byte(snapshotMagic))); err == nil {
-		t.Error("foreign magic accepted")
-	}
-}
-
 func TestEventLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l, err := NewEventLog(&buf)
@@ -322,7 +251,7 @@ func TestEventLogRoundTrip(t *testing.T) {
 	}
 	s1, _ := l.Append(1, []byte("alpha"))
 	s2, _ := l.Append(2, []byte("beta"))
-	if err := l.Close(); err != nil {
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if s1 != 1 || s2 != 2 {
@@ -360,20 +289,30 @@ func TestEventLogSkipsCheckpointedAndResumes(t *testing.T) {
 	l.Append(1, []byte("b"))
 	l.Flush()
 
-	// Resume appending as after a restart, continuing the sequence.
-	r := ResumeEventLog(&buf, l.NextSeq())
+	// Everything at or below the fence is skipped.
+	stats, err := ReplayEventLog(bytes.NewReader(buf.Bytes()), 2, func(uint64, byte, []byte) error {
+		t.Error("fenced event applied")
+		return nil
+	})
+	if err != nil || stats.Applied != 0 || stats.Skipped != 2 || stats.LastSeq != 2 {
+		t.Errorf("fenced replay: stats %+v, err %v", stats, err)
+	}
+
+	// A log started after a checkpoint resumes the sequence numbering.
+	var next bytes.Buffer
+	r, _ := NewEventLogAt(&next, l.NextSeq())
 	r.Append(1, []byte("c"))
 	r.Flush()
 
 	var applied []string
-	stats, err := ReplayEventLog(bytes.NewReader(buf.Bytes()), 2, func(_ uint64, _ byte, payload []byte) error {
+	stats, err = ReplayEventLog(bytes.NewReader(next.Bytes()), 2, func(_ uint64, _ byte, payload []byte) error {
 		applied = append(applied, string(payload))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Applied != 1 || stats.Skipped != 2 || stats.LastSeq != 3 {
+	if stats.Applied != 1 || stats.Skipped != 0 || stats.LastSeq != 3 {
 		t.Errorf("stats = %+v", stats)
 	}
 	if len(applied) != 1 || applied[0] != "c" {
@@ -407,5 +346,9 @@ func TestEventLogTornTail(t *testing.T) {
 	}
 	if stats, err := ReplayEventLog(bytes.NewReader([]byte(eventMagic[:4])), 0, nil); err != nil || !stats.Truncated {
 		t.Errorf("torn header: stats %+v, err %v", stats, err)
+	}
+	// A full-length header that is some other format is still an error.
+	if _, err := ReplayEventLog(bytes.NewReader([]byte(snapshotMagic)), 0, nil); err == nil {
+		t.Error("foreign magic accepted")
 	}
 }

@@ -495,7 +495,7 @@ func (s *Sharded) StatsCtx(ctx context.Context) (Stats, error) {
 
 // Balance reports the per-shard document counts, for skew diagnostics.
 // Counts come from the shards' own lock-protected state, so the report is
-// exact even when shards were mutated directly (deletes, journal replay).
+// exact even when shards were mutated directly (deletes, replication replay).
 func (s *Sharded) Balance() []int64 {
 	out := make([]int64, len(s.backends))
 	_ = s.fanOut(func(i int, b ShardBackend) error {
